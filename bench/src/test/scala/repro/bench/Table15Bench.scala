@@ -35,10 +35,14 @@ trait Table15Bench extends SparkSpec {
     if (total == 0) 0.0 else c(flag).toDouble / total
   }
 
-  /** Per-split mean difference (d - b) of the R1 pairs under a predicate. */
+  /** Per-split mean difference (d - b) of the R1 pairs under a predicate.
+    * Fails, naming the predicate, when no pair matches it.
+    */
   def meanDiff(where: String): Double = {
     val pairs = Relations.r1Pairs(rel.measurements).filter(where)
-    pairs.agg(avg(col("d") - col("b"))).head().getDouble(0)
+    val mean = pairs.agg(avg(col("d") - col("b"))).head()
+    require(!mean.isNullAt(0), s"meanDiff: no R1 pairs match the predicate `$where`")
+    mean.getDouble(0)
   }
 
   test(s"print Table 15 blocks for ${error.name} (paper numbers alongside)") {

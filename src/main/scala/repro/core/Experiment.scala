@@ -60,7 +60,7 @@ object Experiment {
     }
     if (arm.classCounts.size < 2 || arm.classCounts.values.sum < 8) return constant
 
-    val rng = new Random(Gen.seedMix(arm.spec.name, adapter.name, split, seed))
+    val rng = new Random(seedMix(arm.spec.name, adapter.name, split, seed))
     val configs =
       if (cfg.searchK <= 1) Seq(adapter.defaults)
       else (0 until cfg.searchK).map(_ => adapter.sample(rng))
@@ -77,16 +77,21 @@ object Experiment {
     else fitted.maxBy(_.valScore)
   }
 
-  private object Gen {
-    def seedMix(parts: Any*): Long =
-      parts.foldLeft(1125899906842597L)((h, p) => 31 * h + p.hashCode())
-  }
+  private def seedMix(parts: Any*): Long =
+    parts.foldLeft(1125899906842597L)((h, p) => 31 * h + p.hashCode())
 
   /** Test-set score of a fitted model on raw test rows. */
   def evalOn(f: Fitted, testRaw: DataFrame, metric: String): Double =
     Evaluate.score(f.predict(testRaw), metric)
 
-  /** Run one cell: all methods × scenarios × models × seeds at one split. */
+  /** Run one cell: all methods × scenarios × models × seeds at one split.
+    *
+    * Each cleaning method's cleaned train is the D arm. The B arm and the
+    * scenarios follow paper §3.4 (Tables 4–5): for missing values B is
+    * deletion-trained and only BD exists, both sides evaluated on the
+    * method's imputed test set; otherwise B is trained on the raw train, and
+    * CD adds the D model on the raw test set.
+    */
   def runCell(ds: BenchDataset, error: ErrorType, variant: String,
               full: DataFrame, split: Int, cfg: RunConfig): Seq[Measurement] = {
     val spec   = ds.spec
@@ -103,64 +108,40 @@ object Experiment {
       val cleaners = CleaningMethods.forError(error).filter(c =>
         cfg.methodFilter.forall(_.contains((c.method.detect, c.method.repair))))
 
-      error match {
+      val (trainB, scenarios) = error match {
         case MissingValues =>
-          // Table 5 semantics: B = deletion-trained, D = imputation-trained,
-          // both evaluated on the method's imputed test set; scenario BD only.
-          val (delTrain, _) = clean.MissingValues.Deletion.clean(spec, trainRaw, testRaw)
-          val armB = buildArm(spec, delTrain, split, cached)
-          val arms = cleaners.map { c =>
-            val (trC0, teC) = c.clean(spec, trainRaw, testRaw)
-            // Cache the cleaned train: the feature pipeline makes several
-            // passes over it, and the cleaning transforms (iforest UDFs,
-            // per-cell repairs) are expensive to recompute.
-            val trC = trC0.cache(); cached += trC
-            val teCached = teC.cache(); cached += teCached; teCached.count()
-            (c.method, buildArm(spec, trC, split, cached), teCached)
-          }
-          for (m <- models; seed <- 0 until cfg.seeds) {
-            val fB = fitModel(armB, m, metric, split, seed, cfg)
-            arms.foreach { case (method, armD, teC) =>
-              val fD = fitModel(armD, m, metric, split, seed, cfg)
-              out += Measurement(dsName, error.name, method.detect, method.repair,
-                Scenario.BD.name, m.name, split, seed,
-                fB.valScore, evalOn(fB, teC, metric),
-                fD.valScore, evalOn(fD, teC, metric))
+          (repro.clean.MissingValues.Deletion.clean(spec, trainRaw, testRaw)._1, Seq(Scenario.BD))
+        case _ => (trainRaw, Scenario.all)
+      }
+      val armB = buildArm(spec, trainB, split, cached)
+      val arms = cleaners.map { c =>
+        val (trC0, teC) = c.clean(spec, trainRaw, testRaw)
+        // Cache the cleaned train: the feature pipeline makes several
+        // passes over it, and the cleaning transforms (iforest UDFs,
+        // per-cell repairs) are expensive to recompute.
+        val trC = trC0.cache(); cached += trC
+        val teCached = teC.cache(); cached += teCached; teCached.count()
+        (c.method, buildArm(spec, trC, split, cached), teCached)
+      }
+      for (m <- models; seed <- 0 until cfg.seeds) {
+        val fB = fitModel(armB, m, metric, split, seed, cfg)
+        arms.foreach { case (method, armD, teC) =>
+          val fD = fitModel(armD, m, metric, split, seed, cfg)
+          val testD = evalOn(fD, teC, metric)
+          scenarios.foreach { sc =>
+            val (before, testSet) = sc match {
+              case Scenario.BD => (fB, teC)
+              case Scenario.CD => (fD, testRaw)
             }
+            out += Measurement(dsName, error.name, method.detect, method.repair,
+              sc.name, m.name, split, seed,
+              before.valScore, evalOn(before, testSet, metric), fD.valScore, testD)
           }
-
-        case _ =>
-          val armDirty = buildArm(spec, trainRaw, split, cached)
-          val arms = cleaners.map { c =>
-            val (trC0, teC) = c.clean(spec, trainRaw, testRaw)
-            val trC = trC0.cache(); cached += trC
-            val teCached = teC.cache(); cached += teCached; teCached.count()
-            (c.method, buildArm(spec, trC, split, cached), teCached)
-          }
-          for (m <- models; seed <- 0 until cfg.seeds) {
-            val fDirty = fitModel(armDirty, m, metric, split, seed, cfg)
-            arms.foreach { case (method, armC, teC) =>
-              val fClean = fitModel(armC, m, metric, split, seed, cfg)
-              val cleanOnCleanTest = evalOn(fClean, teC, metric)
-              out += Measurement(dsName, error.name, method.detect, method.repair,
-                Scenario.BD.name, m.name, split, seed,
-                fDirty.valScore, evalOn(fDirty, teC, metric),
-                fClean.valScore, cleanOnCleanTest)
-              out += Measurement(dsName, error.name, method.detect, method.repair,
-                Scenario.CD.name, m.name, split, seed,
-                fClean.valScore, evalOn(fClean, testRaw, metric),
-                fClean.valScore, cleanOnCleanTest)
-            }
-          }
+        }
       }
       out.toSeq
     } finally {
       cached.foreach(_.unpersist(blocking = false))
     }
-  }
-
-  // Local aliases to keep the match arms readable.
-  private object clean {
-    val MissingValues = repro.clean.MissingValues
   }
 }

@@ -23,8 +23,6 @@ object Runner {
   def measurements(spark: SparkSession, cfg: RunConfig,
                    errors: Set[ErrorType],
                    datasets: Seq[BenchDataset] = Datasets.all): DataFrame = {
-    // Tiny per-dataset frames: low shuffle parallelism is much faster.
-    spark.conf.set("spark.sql.shuffle.partitions", "2")
     val cells = Specs.cells(errors, datasets)
     val fulls = cells.map { case (ds, e, v) =>
       val df = ds.dirty(spark, e, v).cache()

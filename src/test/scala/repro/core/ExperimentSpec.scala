@@ -14,6 +14,21 @@ class ExperimentSpec extends SparkSpec {
   private val fastCfg = RunConfig(splits = 1, seeds = 1, searchK = 1,
     models = Seq("decision_tree", "naive_bayes"))
 
+  private def csvLine(m: Measurement): String = m.productIterator.map {
+    case d: Double => java.lang.Double.toString(d)
+    case x         => x.toString
+  }.mkString(",")
+
+  /** Assert `rows` equal the recorded fixture `golden/<name>.csv`, in order
+    * and bit-for-bit (doubles are written with `Double.toString`, which
+    * round-trips exactly). The fixtures pin the engine's measurements.
+    */
+  private def assertGolden(name: String, rows: Seq[Measurement]): Unit = {
+    val src = scala.io.Source.fromResource(s"golden/$name.csv")
+    val expected = try src.getLines().drop(1).toSeq finally src.close()
+    assert(rows.map(csvLine) == expected)
+  }
+
   test("mislabel cell: produces BD+CD rows for each model and seed") {
     val ds = Datasets.byName("EEG")
     val full = ds.dirty(spark, Mislabels, "uniform")
@@ -27,6 +42,7 @@ class ExperimentSpec extends SparkSpec {
       assert(r.test_b >= 0.0 && r.test_b <= 1.0)
       assert(r.test_d >= 0.0 && r.test_d <= 1.0)
     }
+    assertGolden("mislabels_EEG_uniform_s0", rows)
   }
 
   test("mislabel CD: cleaning test labels lifts the metric (engineered effect)") {
@@ -39,6 +55,7 @@ class ExperimentSpec extends SparkSpec {
     // Dirty test labels cap accuracy below the clean test labels by about
     // (2*acc - 1) * 5%.
     assert(avgDiff > 0.01, s"avg CD diff = $avgDiff")
+    assertGolden("mislabels_EEG_uniform_s0-2", rows)
   }
 
   test("missing-values cell: BD-only, one row per imputation method") {
@@ -49,6 +66,7 @@ class ExperimentSpec extends SparkSpec {
     assert(rows.size == 12)
     assert(rows.forall(_.scenario == "BD"))
     assert(rows.map(_.repair).toSet.size == 6)
+    assertGolden("missing_values_Titanic_s0", rows)
   }
 
   test("outlier cell: 12 methods × 2 scenarios per model") {
@@ -58,6 +76,7 @@ class ExperimentSpec extends SparkSpec {
     val rows = Experiment.runCell(ds, Outliers, "", full, 0, cfg)
     assert(rows.size == 24)
     assert(rows.map(r => (r.detect, r.repair)).toSet.size == 12)
+    assertGolden("outliers_Sensor_s0_nb", rows)
   }
 
   test("CD rows share the clean-trained model: val_b equals val_d") {
@@ -65,6 +84,7 @@ class ExperimentSpec extends SparkSpec {
     val full = ds.dirty(spark, Duplicates)
     val rows = Experiment.runCell(ds, Duplicates, "", full, 0, fastCfg)
     rows.filter(_.scenario == "CD").foreach(r => assert(r.val_b == r.val_d))
+    assertGolden("duplicates_Movie_s0", rows)
   }
 
   test("runCell is deterministic") {
@@ -73,6 +93,7 @@ class ExperimentSpec extends SparkSpec {
     val r1 = Experiment.runCell(ds, Inconsistencies, "", full, 0, fastCfg)
     val r2 = Experiment.runCell(ds, Inconsistencies, "", full, 0, fastCfg)
     assert(r1 == r2)
+    assertGolden("inconsistencies_University_s0", r1)
   }
 
   test("imbalanced datasets are scored with F1") {
@@ -83,6 +104,7 @@ class ExperimentSpec extends SparkSpec {
     // F1 can legitimately be 0; just check rows exist and are in range.
     assert(rows.nonEmpty)
     assert(rows.forall(r => r.test_b >= 0.0 && r.test_b <= 1.0))
+    assertGolden("outliers_Credit_s0_dt", rows)
   }
 
   test("fitModel guards degenerate single-class arms with a constant predictor") {
@@ -103,5 +125,15 @@ class ExperimentSpec extends SparkSpec {
     val full = ds.dirty(spark, Outliers)
     val rows = Experiment.runCell(ds, Outliers, "", full, 0, cfg)
     assert(rows.nonEmpty) // exercises the multi-config path end-to-end
+    assertGolden("outliers_EEG_s0_dt_search3", rows)
+  }
+
+  test("mislabel cell, all seven models: rows match the golden fixture") {
+    val cfg = fastCfg.copy(models = RunConfig.AllModels)
+    val ds = Datasets.byName("EEG")
+    val full = ds.dirty(spark, Mislabels, "uniform")
+    val rows = Experiment.runCell(ds, Mislabels, "uniform", full, 0, cfg)
+    assert(rows.map(_.model).distinct == RunConfig.AllModels)
+    assertGolden("mislabels_EEG_uniform_s0_all_models", rows)
   }
 }

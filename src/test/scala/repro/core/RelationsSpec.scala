@@ -85,6 +85,24 @@ class RelationsSpec extends SparkSpec {
     assert(row.getAs[Double]("d") == 0.97)
   }
 
+  test("flagOf: P needs a0 and a1 below alpha, N a0 and a2; alpha itself is S") {
+    val a = 0.05
+    val cases = Seq(
+      // (a0,  a1,   a2,   flag)
+      (0.01, 0.01, 1.0,  Flag.Positive),
+      (0.01, 1.0,  0.01, Flag.Negative),
+      (0.01, 0.01, 0.01, Flag.Positive),
+      (0.01, 0.5,  0.5,  Flag.Insignificant),
+      (0.5,  0.01, 1.0,  Flag.Insignificant),
+      (0.5,  1.0,  0.01, Flag.Insignificant),
+      (a,    0.01, 1.0,  Flag.Insignificant),
+      (0.01, a,    1.0,  Flag.Insignificant),
+      (0.01, 1.0,  a,    Flag.Insignificant))
+    cases.foreach { case (a0, a1, a2, flag) =>
+      assert(Relations.flagOf(a0, a1, a2, a) == flag, s"flagOf($a0, $a1, $a2)")
+    }
+  }
+
   test("flags: clear improvement over 8 splits is P") {
     val meas = (0 until 8).map(s =>
       m(split = s, testB = 0.60 + 0.002 * s, testD = 0.70 + 0.002 * s)).toDF()
