@@ -136,4 +136,15 @@ class ExperimentSpec extends SparkSpec {
     assert(rows.map(_.model).distinct == RunConfig.AllModels)
     assertGolden("mislabels_EEG_uniform_s0_all_models", rows)
   }
+
+  test("outlier cell SD/impute_mean, all seven models: rows match the golden fixture") {
+    val cfg = fastCfg.copy(models = RunConfig.AllModels,
+      methodFilter = Some(Set(("SD", "impute_mean"))))
+    val ds = Datasets.byName("Sensor")
+    val full = ds.dirty(spark, Outliers)
+    val rows = Experiment.runCell(ds, Outliers, "", full, 0, cfg)
+    // 1 method × 2 scenarios × 7 models
+    assert(rows.size == 14)
+    assertGolden("outliers_Sensor_s0_SD_impute_mean_all_models", rows)
+  }
 }
