@@ -4,45 +4,47 @@ import scala.collection.mutable.ArrayBuffer
 import scala.util.{Random, Try}
 
 import org.apache.spark.ml.PipelineModel
+import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.clean.CleaningMethods
 import repro.core.ErrorType._
 import repro.data.{BenchDataset, DataSpec}
-import repro.ml.{Evaluate, Features, ModelAdapter, Models}
+import repro.ml.{Evaluate, Examples, Features, ModelAdapter, Models, TrainSet}
 
 /** Runs the experiments of one *cell* — a (dataset, error type, variant,
   * split) — producing the raw measurements for every cleaning method,
   * scenario, model, and search seed (paper §4.1).
+  *
+  * Models are fit in Spark; every featurized set they are scored on is
+  * collected once per cell, and prediction and scoring run on the driver.
   */
 object Experiment {
 
-  /** A fitted model: its validation score and a predictor over raw rows. */
-  final case class Fitted(valScore: Double, predict: DataFrame => DataFrame)
+  /** A fitted model: its validation score and a predictor over features. */
+  final case class Fitted(valScore: Double, predict: Vector => Double)
 
   /** A featurized training arm: the preprocessing pipeline fit on this
-    * arm's training set, the downsampled sub-train and the validation fold
-    * (cached), and the arm's class histogram for degenerate-case guards.
+    * arm's training set, the downsampled sub-train (cached frame and
+    * collected rows), the collected validation fold, and the arm's class
+    * histogram for degenerate-case guards.
     */
-  final case class Arm(spec: DataSpec, pipeline: PipelineModel,
-                       sub: DataFrame, valFold: DataFrame,
-                       classCounts: Map[Double, Long])
+  final case class Arm(spec: DataSpec, pipeline: PipelineModel, train: TrainSet,
+                       valFold: Examples, classCounts: Map[Double, Long])
 
-  /** Build (and cache) a training arm from raw training rows. */
-  def buildArm(spec: DataSpec, trainRaw: DataFrame, split: Int,
-               cached: ArrayBuffer[DataFrame]): Arm = {
+  /** Build a training arm from raw training rows. Its sub-train frame is
+    * cached; the caller unpersists `train.frame`.
+    */
+  def buildArm(spec: DataSpec, trainRaw: DataFrame, split: Int): Arm = {
     val pipeline = Features.fit(spec, trainRaw)
     val featurized = pipeline.transform(trainRaw)
       .select(col("rid"), col(Features.FeaturesCol), col("label"))
-    val (sub0, valFold0) = Splits.subVal(featurized, salt = split * 131 + 17)
+    val (sub0, valFold) = Splits.subVal(featurized, salt = split * 131 + 17)
     val sub = Features.downsample(spec, sub0, seed = split.toLong).cache()
-    val valFold = valFold0.cache()
-    cached += sub; cached += valFold
-    val classCounts = sub.groupBy("label").count().collect()
-      .map(r => r.getDouble(0) -> r.getLong(1)).toMap
-    valFold.count()
-    Arm(spec, pipeline, sub, valFold, classCounts)
+    val rows = Features.collect(sub)
+    val classCounts = rows.label.groupBy(identity).map { case (l, ls) => l -> ls.length.toLong }
+    Arm(spec, pipeline, TrainSet(sub, rows), Features.collect(valFold), classCounts)
   }
 
   /** Fit one model on an arm with random hyperparameter search (searchK
@@ -51,13 +53,12 @@ object Experiment {
     */
   def fitModel(arm: Arm, adapter: ModelAdapter, metric: String,
                split: Int, seed: Int, cfg: RunConfig): Fitted = {
+    def scored(predict: Vector => Double): Fitted =
+      Fitted(evalOn(predict, arm.valFold, metric), predict)
     val majority: Double =
       if (arm.classCounts.isEmpty) 0.0
       else arm.classCounts.maxBy { case (l, n) => (n, -l) }._1
-    def constant: Fitted = {
-      val fn = (df: DataFrame) => df.withColumn("prediction", lit(majority))
-      Fitted(Evaluate.score(fn(arm.valFold), metric), raw => fn(arm.pipeline.transform(raw)))
-    }
+    def constant: Fitted = scored(_ => majority)
     if (arm.classCounts.size < 2 || arm.classCounts.values.sum < 8) return constant
 
     val rng = new Random(seedMix(arm.spec.name, adapter.name, split, seed))
@@ -67,11 +68,7 @@ object Experiment {
     val modelSeed = split.toLong * 7919 + seed * 131 + adapter.name.hashCode
 
     val fitted = configs.flatMap { params =>
-      Try {
-        val fn = adapter.fit(arm.sub, params, modelSeed)
-        val v  = Evaluate.score(fn(arm.valFold), metric)
-        Fitted(v, raw => fn(arm.pipeline.transform(raw)))
-      }.toOption
+      Try(scored(adapter.fit(arm.train, params, modelSeed))).toOption
     }
     if (fitted.isEmpty) constant
     else fitted.maxBy(_.valScore)
@@ -80,9 +77,9 @@ object Experiment {
   private def seedMix(parts: Any*): Long =
     parts.foldLeft(1125899906842597L)((h, p) => 31 * h + p.hashCode())
 
-  /** Test-set score of a fitted model on raw test rows. */
-  def evalOn(f: Fitted, testRaw: DataFrame, metric: String): Double =
-    Evaluate.score(f.predict(testRaw), metric)
+  /** Score of a predictor on a collected featurized set. */
+  def evalOn(predict: Vector => Double, set: Examples, metric: String): Double =
+    Evaluate.score(set.label, set.features.map(predict), metric)
 
   /** Run one cell: all methods × scenarios × models × seeds at one split.
     *
@@ -100,10 +97,7 @@ object Experiment {
     val cached = ArrayBuffer.empty[DataFrame]
     val out    = ArrayBuffer.empty[Measurement]
     try {
-      val (trainRaw0, testRaw0) = Splits.trainTest(full, split)
-      val trainRaw = trainRaw0.cache(); val testRaw = testRaw0.cache()
-      cached += trainRaw; cached += testRaw
-      trainRaw.count(); testRaw.count()
+      val (trainRaw, testRaw) = Splits.trainTest(full, split)
       val models = cfg.models.map(Models.byName)
       val cleaners = CleaningMethods.forError(error).filter(c =>
         cfg.methodFilter.forall(_.contains((c.method.detect, c.method.repair))))
@@ -113,29 +107,38 @@ object Experiment {
           (repro.clean.MissingValues.Deletion.clean(spec, trainRaw, testRaw)._1, Seq(Scenario.BD))
         case _ => (trainRaw, Scenario.all)
       }
-      val armB = buildArm(spec, trainB, split, cached)
+      val armB = buildArm(spec, trainB, split)
+      cached += armB.train.frame
       val arms = cleaners.map { c =>
-        val (trC0, teC) = c.clean(spec, trainRaw, testRaw)
-        // Cache the cleaned train: the feature pipeline makes several
-        // passes over it, and the cleaning transforms (iforest UDFs,
-        // per-cell repairs) are expensive to recompute.
-        val trC = trC0.cache(); cached += trC
-        val teCached = teC.cache(); cached += teCached; teCached.count()
-        (c.method, buildArm(spec, trC, split, cached), teCached)
+        val (trC0, teC0) = c.clean(spec, trainRaw, testRaw)
+        // Cache the cleaned sets: the feature pipeline makes several passes
+        // over the train, each test is featurized twice, and the cleaning
+        // transforms (iforest UDFs, per-cell repairs) are expensive to
+        // recompute.
+        val trC = trC0.cache(); val teC = teC0.cache()
+        val armD = buildArm(spec, trC, split)
+        cached ++= Seq(trC, teC, armD.train.frame)
+        // The test set of each scenario's "before" side, featurized by the
+        // arm whose model is scored on it.
+        val testsBefore = scenarios.map {
+          case Scenario.BD => Features.featurize(armB.pipeline, teC)
+          case Scenario.CD => Features.featurize(armD.pipeline, testRaw)
+        }
+        (c.method, armD, Features.featurize(armD.pipeline, teC), testsBefore)
       }
       for (m <- models; seed <- 0 until cfg.seeds) {
         val fB = fitModel(armB, m, metric, split, seed, cfg)
-        arms.foreach { case (method, armD, teC) =>
+        arms.foreach { case (method, armD, testSetD, testsBefore) =>
           val fD = fitModel(armD, m, metric, split, seed, cfg)
-          val testD = evalOn(fD, teC, metric)
-          scenarios.foreach { sc =>
-            val (before, testSet) = sc match {
-              case Scenario.BD => (fB, teC)
-              case Scenario.CD => (fD, testRaw)
+          val testD = evalOn(fD.predict, testSetD, metric)
+          scenarios.zip(testsBefore).foreach { case (sc, testSet) =>
+            val before = sc match {
+              case Scenario.BD => fB
+              case Scenario.CD => fD
             }
             out += Measurement(dsName, error.name, method.detect, method.repair,
               sc.name, m.name, split, seed,
-              before.valScore, evalOn(before, testSet, metric), fD.valScore, testD)
+              before.valScore, evalOn(before.predict, testSet, metric), fD.valScore, testD)
           }
         }
       }

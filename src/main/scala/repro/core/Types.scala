@@ -58,12 +58,14 @@ final case class Measurement(
 
 /** Benchmark run knobs. Defaults are sized for a single-machine run; the
   * paper protocol is splits=20, seeds=5, searchK>1 (see DESIGN.md).
+  * `parallelism` is the number of cells in flight (one driver thread each);
+  * it defaults to the machine's processor count.
   */
 final case class RunConfig(
     splits: Int      = 10,
     seeds: Int       = 1,
     searchK: Int     = 1,
-    parallelism: Int = 12,
+    parallelism: Int = RunConfig.defaultParallelism,
     alpha: Double    = 0.05,
     models: Seq[String] = RunConfig.AllModels,
     /** Restrict to these (detect, repair) methods; None = all (Table 2). */
@@ -74,6 +76,8 @@ object RunConfig {
     "adaboost", "decision_tree", "knn", "logistic_regression",
     "naive_bayes", "random_forest", "xgboost")
 
+  def defaultParallelism: Int = Runtime.getRuntime.availableProcessors
+
   private def intEnv(k: String, d: Int): Int =
     sys.env.get(k).map(_.toInt).getOrElse(d)
 
@@ -82,5 +86,5 @@ object RunConfig {
     splits      = intEnv("CLEANML_SPLITS", 10),
     seeds       = intEnv("CLEANML_SEEDS", 1),
     searchK     = intEnv("CLEANML_SEARCH_K", 1),
-    parallelism = intEnv("CLEANML_PARALLELISM", 12))
+    parallelism = intEnv("CLEANML_PARALLELISM", defaultParallelism))
 }

@@ -3,40 +3,44 @@ package repro.ml
 import scala.collection.mutable.ArrayBuffer
 
 import org.apache.spark.ml.classification.{DecisionTreeClassificationModel, DecisionTreeClassifier}
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.functions._
 
 /** From-scratch binary AdaBoost (discrete SAMME; paper §3.3 — MLlib has no
-  * AdaBoost). Base learners are weighted MLlib decision trees; the sample
-  * weights live in a DataFrame column and are re-normalized each round, so
-  * boosting itself is expressed as DataFrame transforms.
+  * AdaBoost). Base learners are weighted MLlib decision trees fit on the
+  * training frame; the sample weights live in a driver-side array, and
+  * error, reweighting and prediction use the trees' local `predict`.
+  *
+  * The weights are bit-identical to computing them as Spark columns: `exp`
+  * is `StrictMath.exp` (as Spark's), and every sum adds sequentially within
+  * a partition and then merges partitions in index order (as Spark's
+  * `sum`), so each tree fit sees the weights a DataFrame loop would give it.
   */
 object AdaBoost {
 
-  /** Fit on a featurized training set (must carry `rid`, `features`,
-    * `label`); returns a transform adding `prediction`.
+  /** Fit on a featurized training set; returns a predictor over feature
+    * vectors.
     */
-  def fit(train: DataFrame, rounds: Int, baseDepth: Int, seed: Long): DataFrame => DataFrame = {
-    val n = train.count().toDouble
+  def fit(train: TrainSet, rounds: Int, baseDepth: Int, seed: Long): Vector => Double = {
+    val rows = train.rows
+    val n = rows.label.length
     require(n > 0, "AdaBoost: empty training set")
-    var cur = train.select(col("rid"), col(Features.FeaturesCol), col("label"))
-      .withColumn("__w", lit(1.0 / n))
-      .cache()
-    cur.count()
+    require(rows.rid.distinct.length == n, "AdaBoost: row ids must be unique")
+    var w = Array.fill(n)(1.0 / n.toDouble)
     val trees = ArrayBuffer.empty[(DecisionTreeClassificationModel, Double)]
 
     var t = 0
     var stop = false
     while (t < rounds && !stop) {
+      val byRid = rows.rid.zip(w).toMap
+      val weightOf = udf((rid: Long) => byRid(rid))
       val dt = new DecisionTreeClassifier()
         .setFeaturesCol(Features.FeaturesCol).setLabelCol("label")
         .setWeightCol("__w").setMaxDepth(baseDepth).setSeed(seed + t)
-      val model  = dt.fit(cur)
-      val scored = model.transform(cur)
-      val row = scored.agg(
-        sum(when(col("prediction") =!= col("label"), col("__w")).otherwise(0.0)),
-        sum(col("__w"))).head()
-      val err = row.getDouble(0) / row.getDouble(1)
+      val model = dt.fit(train.frame.withColumn("__w", weightOf(col("rid"))))
+      val wrong = Array.tabulate(n)(i => model.predict(rows.features(i)) != rows.label(i))
+      val err = sparkSum(rows.partition, Array.tabulate(n)(i => if (wrong(i)) w(i) else 0.0)) /
+        sparkSum(rows.partition, w)
       if (err <= 1e-10) {
         // Perfect base learner: take it with a large vote and stop.
         trees += ((model, 5.0)); stop = true
@@ -48,30 +52,34 @@ object AdaBoost {
       } else {
         val alpha = 0.5 * math.log((1.0 - err) / err)
         trees += ((model, alpha))
-        val unnorm = scored
-          .withColumn("__w",
-            col("__w") * exp(lit(alpha) * when(col("prediction") =!= col("label"), 2.0).otherwise(-2.0) * lit(0.5)))
-          .select(col("rid"), col(Features.FeaturesCol), col("label"), col("__w"))
-        val total = unnorm.agg(sum(col("__w"))).head().getDouble(0)
-        val next = unnorm.withColumn("__w", col("__w") / lit(total)).cache()
-        next.count()
-        cur.unpersist(blocking = false)
-        cur = next
+        val unnorm = Array.tabulate(n)(i => w(i) * StrictMath.exp(if (wrong(i)) alpha else -alpha))
+        val total = sparkSum(rows.partition, unnorm)
+        w = unnorm.map(_ / total)
       }
       t += 1
     }
-    cur.unpersist(blocking = false)
     val fitted = trees.toSeq
 
-    df => {
-      var acc = df.withColumn("__score", lit(0.0))
-      fitted.foreach { case (m, a) =>
-        acc = m.transform(acc)
-          .withColumn("__score", col("__score") + lit(a) * (col("prediction") * 2.0 - 1.0))
-          .drop("prediction", "rawPrediction", "probability")
-      }
-      acc.withColumn("prediction", when(col("__score") > 0, 1.0).otherwise(0.0))
-        .drop("__score")
+    v => {
+      var score = 0.0
+      fitted.foreach { case (m, a) => score = score + a * (m.predict(v) * 2.0 - 1.0) }
+      if (score > 0) 1.0 else 0.0
     }
+  }
+
+  /** Sum `xs` the way Spark's `sum` aggregate does over a frame whose rows
+    * came from `partition` (contiguous, in index order): sequentially within
+    * each partition, then the partition sums in order.
+    */
+  private def sparkSum(partition: Array[Int], xs: Array[Double]): Double = {
+    var total = 0.0
+    var i = 0
+    while (i < xs.length) {
+      val p = partition(i)
+      var part = 0.0
+      while (i < xs.length && partition(i) == p) { part += xs(i); i += 1 }
+      total += part
+    }
+    total
   }
 }

@@ -2,10 +2,23 @@ package repro.ml
 
 import org.apache.spark.ml.{Pipeline, PipelineModel, PipelineStage}
 import org.apache.spark.ml.feature._
+import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.data.DataSpec
+
+/** Featurized rows collected on the driver, in the frame's partition order:
+  * row id, feature vector, label, and the Spark partition each row came
+  * from (AdaBoost replays Spark's per-partition sums with it).
+  */
+final case class Examples(rid: Array[Long], features: Array[Vector],
+                          label: Array[Double], partition: Array[Int])
+
+/** A featurized training set: the cached frame MLlib fits read, and the
+  * same rows collected.
+  */
+final case class TrainSet(frame: DataFrame, rows: Examples)
 
 /** Feature preprocessing per paper §3.3: one-hot encoding for categorical
   * attributes, tf-idf for text attributes, standardization of numeric
@@ -58,6 +71,18 @@ object Features {
   /** Fit the pipeline on `train` (anti-leakage: arm-local statistics). */
   def fit(spec: DataSpec, train: DataFrame): PipelineModel =
     pipeline(spec).fit(train)
+
+  /** Collect a featurized frame (columns rid/features/label) to the driver. */
+  def collect(df: DataFrame): Examples = {
+    val rows = df.select(col("rid"), col(FeaturesCol), col("label"), spark_partition_id())
+      .collect()
+    Examples(rows.map(_.getLong(0)), rows.map(_.getAs[Vector](1)),
+      rows.map(_.getDouble(2)), rows.map(_.getInt(3)))
+  }
+
+  /** Featurize raw rows with a fitted pipeline and collect them. */
+  def featurize(pipeline: PipelineModel, raw: DataFrame): Examples =
+    collect(pipeline.transform(raw))
 
   /** Downsample the majority class in a training set so classes balance
     * (paper §3.3 item 4); identity for balanced datasets.

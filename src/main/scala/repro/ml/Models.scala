@@ -2,7 +2,9 @@ package repro.ml
 
 import scala.util.Random
 
+import org.apache.spark.ml.PredictionModel
 import org.apache.spark.ml.classification.{DecisionTreeClassifier, GBTClassifier, LogisticRegression, RandomForestClassifier}
+import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
 
 /** The seven classifiers of the benchmark (paper §3.3) behind one adapter
@@ -23,91 +25,95 @@ trait ModelAdapter {
     if (grid.isEmpty) defaults
     else defaults ++ grid.map { case (k, vs) => k -> vs(rng.nextInt(vs.size)) }
 
-  /** Fit on a featurized training set (columns rid/features/label);
-    * returns a transform adding `prediction` to any featurized frame.
+  /** Fit on a featurized training set; returns a predictor over feature
+    * vectors, run on the driver.
     */
-  def fit(train: DataFrame, params: Map[String, Double], seed: Long): DataFrame => DataFrame
+  def fit(train: TrainSet, params: Map[String, Double], seed: Long): Vector => Double
+}
+
+/** An MLlib classifier: fit in Spark on the training frame, predicted on
+  * the driver with the fitted model's own `predict`.
+  */
+trait MLlibAdapter extends ModelAdapter {
+
+  /** Fit the MLlib model on a featurized frame (columns rid/features/label). */
+  def fitModel(train: DataFrame, params: Map[String, Double], seed: Long): PredictionModel[Vector, _]
+
+  def fit(train: TrainSet, params: Map[String, Double], seed: Long): Vector => Double =
+    fitModel(train.frame, params, seed).predict
 }
 
 object Models {
 
-  object LogisticRegressionAdapter extends ModelAdapter {
+  object LogisticRegressionAdapter extends MLlibAdapter {
     val name = "logistic_regression"
     val defaults = Map("regParam" -> 0.01, "maxIter" -> 20.0)
     val grid = Map("regParam" -> Seq(0.0, 0.01, 0.1))
-    def fit(train: DataFrame, params: Map[String, Double], seed: Long): DataFrame => DataFrame = {
-      val m = new LogisticRegression()
+    def fitModel(train: DataFrame, params: Map[String, Double], seed: Long): PredictionModel[Vector, _] =
+      new LogisticRegression()
         .setFeaturesCol(Features.FeaturesCol).setLabelCol("label")
         .setMaxIter(params("maxIter").toInt).setRegParam(params("regParam"))
         .fit(train)
-      df => m.transform(df).drop("rawPrediction", "probability")
-    }
   }
 
   object KNNAdapter extends ModelAdapter {
     val name = "knn"
     val defaults = Map("k" -> 5.0)
     val grid = Map("k" -> Seq(3.0, 5.0, 9.0))
-    def fit(train: DataFrame, params: Map[String, Double], seed: Long): DataFrame => DataFrame =
-      KNN.fit(train, params("k").toInt)
+    def fit(train: TrainSet, params: Map[String, Double], seed: Long): Vector => Double =
+      KNN.fit(train.rows, params("k").toInt)
   }
 
-  object DecisionTreeAdapter extends ModelAdapter {
+  object DecisionTreeAdapter extends MLlibAdapter {
     val name = "decision_tree"
     val defaults = Map("maxDepth" -> 5.0)
     val grid = Map("maxDepth" -> Seq(3.0, 5.0, 8.0))
-    def fit(train: DataFrame, params: Map[String, Double], seed: Long): DataFrame => DataFrame = {
-      val m = new DecisionTreeClassifier()
+    def fitModel(train: DataFrame, params: Map[String, Double], seed: Long): PredictionModel[Vector, _] =
+      new DecisionTreeClassifier()
         .setFeaturesCol(Features.FeaturesCol).setLabelCol("label")
         .setMaxDepth(params("maxDepth").toInt).setSeed(seed)
         .fit(train)
-      df => m.transform(df).drop("rawPrediction", "probability")
-    }
   }
 
-  object RandomForestAdapter extends ModelAdapter {
+  object RandomForestAdapter extends MLlibAdapter {
     val name = "random_forest"
     val defaults = Map("numTrees" -> 12.0, "maxDepth" -> 5.0)
     val grid = Map("numTrees" -> Seq(8.0, 16.0), "maxDepth" -> Seq(4.0, 6.0))
-    def fit(train: DataFrame, params: Map[String, Double], seed: Long): DataFrame => DataFrame = {
-      val m = new RandomForestClassifier()
+    def fitModel(train: DataFrame, params: Map[String, Double], seed: Long): PredictionModel[Vector, _] =
+      new RandomForestClassifier()
         .setFeaturesCol(Features.FeaturesCol).setLabelCol("label")
         .setNumTrees(params("numTrees").toInt).setMaxDepth(params("maxDepth").toInt)
         .setSeed(seed)
         .fit(train)
-      df => m.transform(df).drop("rawPrediction", "probability")
-    }
   }
 
   object AdaBoostAdapter extends ModelAdapter {
     val name = "adaboost"
     val defaults = Map("rounds" -> 3.0, "baseDepth" -> 2.0)
     val grid = Map("rounds" -> Seq(3.0, 5.0))
-    def fit(train: DataFrame, params: Map[String, Double], seed: Long): DataFrame => DataFrame =
+    def fit(train: TrainSet, params: Map[String, Double], seed: Long): Vector => Double =
       AdaBoost.fit(train, params("rounds").toInt, params("baseDepth").toInt, seed)
   }
 
   /** XGBoost stand-in: MLlib gradient-boosted trees (DESIGN.md §1). */
-  object XGBoostAdapter extends ModelAdapter {
+  object XGBoostAdapter extends MLlibAdapter {
     val name = "xgboost"
     val defaults = Map("maxIter" -> 8.0, "maxDepth" -> 3.0, "stepSize" -> 0.2)
     val grid = Map("maxIter" -> Seq(6.0, 10.0))
-    def fit(train: DataFrame, params: Map[String, Double], seed: Long): DataFrame => DataFrame = {
-      val m = new GBTClassifier()
+    def fitModel(train: DataFrame, params: Map[String, Double], seed: Long): PredictionModel[Vector, _] =
+      new GBTClassifier()
         .setFeaturesCol(Features.FeaturesCol).setLabelCol("label")
         .setMaxIter(params("maxIter").toInt).setMaxDepth(params("maxDepth").toInt)
         .setStepSize(params("stepSize")).setSeed(seed)
         .fit(train)
-      df => m.transform(df).drop("rawPrediction", "probability")
-    }
   }
 
   object NaiveBayesAdapter extends ModelAdapter {
     val name = "naive_bayes"
     val defaults = Map.empty[String, Double]
     val grid = Map.empty[String, Seq[Double]]
-    def fit(train: DataFrame, params: Map[String, Double], seed: Long): DataFrame => DataFrame =
-      GaussianNB.fit(train)
+    def fit(train: TrainSet, params: Map[String, Double], seed: Long): Vector => Double =
+      GaussianNB.fit(train.rows)
   }
 
   val all: Seq[ModelAdapter] = Seq(

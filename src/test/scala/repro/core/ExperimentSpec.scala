@@ -1,15 +1,23 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
 import repro.core.ErrorType._
 import repro.data.Datasets
+import repro.ml.{Features, Models}
 
 /** End-to-end tests of the per-cell experiment engine with a reduced model
   * set (to keep the unit-test run fast; the full grid runs in bench/).
   */
 class ExperimentSpec extends SparkSpec {
+
+  /** Jobs `runCell` issues on the `cell-fit` cell (4 cores). */
+  private val MaxCellFitJobs = 78
 
   private val fastCfg = RunConfig(splits = 1, seeds = 1, searchK = 1,
     models = Seq("decision_tree", "naive_bayes"))
@@ -111,12 +119,11 @@ class ExperimentSpec extends SparkSpec {
     val ds = Datasets.byName("EEG")
     val full = ds.clean(spark).filter(col("label") === 1.0) // single class
     val (train, _) = Splits.trainTest(full, 0)
-    val cached = scala.collection.mutable.ArrayBuffer.empty[org.apache.spark.sql.DataFrame]
-    val arm = Experiment.buildArm(ds.spec, train, 0, cached)
-    val fitted = Experiment.fitModel(arm, repro.ml.Models.byName("xgboost"), "acc", 0, 0, fastCfg)
-    val preds = fitted.predict(full.limit(20)).select("prediction").distinct().collect()
-    assert(preds.length == 1 && preds(0).getDouble(0) == 1.0)
-    cached.foreach(_.unpersist())
+    val arm = Experiment.buildArm(ds.spec, train, 0)
+    val fitted = Experiment.fitModel(arm, Models.byName("xgboost"), "acc", 0, 0, fastCfg)
+    val preds = Features.featurize(arm.pipeline, full.limit(20)).features.map(fitted.predict).distinct
+    assert(preds.length == 1 && preds(0) == 1.0)
+    arm.train.frame.unpersist()
   }
 
   test("search with searchK>1 picks the config with the best validation score") {
@@ -146,5 +153,32 @@ class ExperimentSpec extends SparkSpec {
     // 1 method × 2 scenarios × 7 models
     assert(rows.size == 14)
     assertGolden("outliers_Sensor_s0_SD_impute_mean_all_models", rows)
+  }
+
+  test("the cell-fit cell issues a bounded number of Spark jobs") {
+    // Prediction and scoring run on the driver: a cell's jobs are the
+    // cleaning, featurizing and fitting jobs plus one collect per featurized
+    // set. Scoring each fit with Spark jobs took this cell to 188 jobs.
+    val cfg = fastCfg.copy(models = Seq("adaboost", "knn", "logistic_regression", "naive_bayes"),
+      methodFilter = Some(Set(("SD", "impute_mean"))))
+    val ds = Datasets.byName("Sensor")
+    val full = ds.dirty(spark, Outliers)
+    val sc = spark.sparkContext
+    val group = "ExperimentSpec-job-count"
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group))
+          jobs.incrementAndGet()
+    }
+    sc.addSparkListener(listener)
+    sc.setJobGroup(group, "runCell job count")
+    try Experiment.runCell(ds, Outliers, "", full, 0, cfg)
+    finally {
+      sc.clearJobGroup()
+      ListenerBusDrain.drain(sc)
+      sc.removeSparkListener(listener)
+    }
+    assert(jobs.get <= MaxCellFitJobs, s"runCell issued ${jobs.get} jobs")
   }
 }

@@ -48,4 +48,18 @@ class RunnerSpec extends SparkSpec {
   test("printTable15 renders without error") {
     Runner.printTable15(rel, Inconsistencies)
   }
+
+  test("measurements do not depend on the number of cells in flight") {
+    val small = cfg.copy(splits = 1)
+    def rows(parallelism: Int): Seq[String] =
+      Runner.measurements(spark, small.copy(parallelism = parallelism), Set(Inconsistencies))
+        .collect().map(_.toString).sorted.toSeq
+    val serial = rows(1)
+    assert(serial.size == 16)
+    assert(rows(4) == serial)
+  }
+
+  test("parallelism defaults to the processor count") {
+    assert(RunConfig().parallelism == Runtime.getRuntime.availableProcessors)
+  }
 }

@@ -6,61 +6,45 @@ import repro.SparkSpec
 
 class KNNSpec extends SparkSpec {
 
+  private def fit(rows: Seq[(Long, org.apache.spark.ml.linalg.Vector, Double)], k: Int) =
+    KNN.fit(Features.collect(spark.createDataFrame(rows).toDF("rid", Features.FeaturesCol, "label")), k)
+
   test("k=1 predicts the label of the exact nearest neighbor") {
-    val train = spark.createDataFrame(Seq(
+    val predict = fit(Seq(
       (0L, Vectors.dense(0.0, 0.0), 0.0),
-      (1L, Vectors.dense(10.0, 10.0), 1.0)))
-      .toDF("rid", Features.FeaturesCol, "label")
-    val predict = KNN.fit(train, k = 1)
-    val test = spark.createDataFrame(Seq(
-      (2L, Vectors.dense(1.0, 1.0), -1.0),
-      (3L, Vectors.dense(9.0, 9.0), -1.0)))
-      .toDF("rid", Features.FeaturesCol, "label")
-    val out = predict(test).orderBy("rid").collect()
-    assert(out(0).getAs[Double]("prediction") == 0.0)
-    assert(out(1).getAs[Double]("prediction") == 1.0)
+      (1L, Vectors.dense(10.0, 10.0), 1.0)), k = 1)
+    assert(predict(Vectors.dense(1.0, 1.0)) == 0.0)
+    assert(predict(Vectors.dense(9.0, 9.0)) == 1.0)
   }
 
   test("k=3 majority vote overrides a single close neighbor") {
-    val train = spark.createDataFrame(Seq(
+    val predict = fit(Seq(
       (0L, Vectors.dense(0.0), 1.0),   // closest
       (1L, Vectors.dense(0.3), 0.0),
       (2L, Vectors.dense(-0.3), 0.0),
-      (3L, Vectors.dense(5.0), 1.0)))
-      .toDF("rid", Features.FeaturesCol, "label")
-    val predict = KNN.fit(train, k = 3)
-    val test = spark.createDataFrame(Seq((9L, Vectors.dense(0.01), -1.0)))
-      .toDF("rid", Features.FeaturesCol, "label")
-    assert(predict(test).head().getAs[Double]("prediction") == 0.0)
+      (3L, Vectors.dense(5.0), 1.0)), k = 3)
+    assert(predict(Vectors.dense(0.01)) == 0.0)
   }
 
   test("separable blobs are classified nearly perfectly") {
     val train = MLTestData.blobs(spark, n = 150, seed = 3)
     val test  = MLTestData.blobs(spark, n = 60, seed = 4)
-    val acc = Evaluate.accuracy(KNN.fit(train, 5)(test))
+    val acc = MLTestData.accuracy(KNN.fit(Features.collect(train), 5), test)
     assert(acc > 0.95, s"acc=$acc")
   }
 
   test("k larger than the training set degrades to global majority") {
-    val train = spark.createDataFrame(Seq(
+    val predict = fit(Seq(
       (0L, Vectors.dense(0.0), 1.0),
       (1L, Vectors.dense(1.0), 1.0),
-      (2L, Vectors.dense(2.0), 0.0)))
-      .toDF("rid", Features.FeaturesCol, "label")
-    val predict = KNN.fit(train, k = 50)
-    val test = spark.createDataFrame(Seq((9L, Vectors.dense(100.0), -1.0)))
-      .toDF("rid", Features.FeaturesCol, "label")
-    assert(predict(test).head().getAs[Double]("prediction") == 1.0)
+      (2L, Vectors.dense(2.0), 0.0)), k = 50)
+    assert(predict(Vectors.dense(100.0)) == 1.0)
   }
 
   test("vote ties break toward the smaller label") {
-    val train = spark.createDataFrame(Seq(
+    val predict = fit(Seq(
       (0L, Vectors.dense(-1.0), 0.0),
-      (1L, Vectors.dense(1.0), 1.0)))
-      .toDF("rid", Features.FeaturesCol, "label")
-    val predict = KNN.fit(train, k = 2)
-    val test = spark.createDataFrame(Seq((9L, Vectors.dense(0.0), -1.0)))
-      .toDF("rid", Features.FeaturesCol, "label")
-    assert(predict(test).head().getAs[Double]("prediction") == 0.0)
+      (1L, Vectors.dense(1.0), 1.0)), k = 2)
+    assert(predict(Vectors.dense(0.0)) == 0.0)
   }
 }

@@ -1,6 +1,6 @@
 package repro.ml
 
-import org.apache.spark.ml.linalg.Vectors
+import org.apache.spark.ml.linalg.{Vector, Vectors}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Shared toy featurized datasets for the model tests. */
@@ -32,5 +32,18 @@ object MLTestData {
       (i.toLong, Vectors.dense(x + 0.1 * rng.nextGaussian(), y + 0.1 * rng.nextGaussian()), l)
     }
     spark.createDataFrame(rows).toDF("rid", Features.FeaturesCol, "label")
+  }
+
+  /** A featurized frame as a training set: the frame and its rows collected. */
+  def trainSet(df: DataFrame): TrainSet = TrainSet(df, Features.collect(df))
+
+  /** A predictor's predictions for every row of a featurized frame. */
+  def predictions(predict: Vector => Double, df: DataFrame): Array[Double] =
+    Features.collect(df).features.map(predict)
+
+  /** A predictor's accuracy on a featurized frame. */
+  def accuracy(predict: Vector => Double, df: DataFrame): Double = {
+    val rows = Features.collect(df)
+    Evaluate.score(rows.label, rows.features.map(predict), "acc")
   }
 }

@@ -4,6 +4,7 @@ import scala.util.Random
 
 import repro.SparkSpec
 import repro.core.RunConfig
+import repro.ml.MLTestData.{accuracy, predictions, trainSet}
 
 class ModelsSpec extends SparkSpec {
 
@@ -21,8 +22,8 @@ class ModelsSpec extends SparkSpec {
     val train = MLTestData.blobs(spark, n = 200, seed = 30)
     val test  = MLTestData.blobs(spark, n = 80, seed = 31)
     Models.all.foreach { m =>
-      val predict = m.fit(train, m.defaults, seed = 7)
-      val acc = Evaluate.accuracy(predict(test))
+      val predict = m.fit(trainSet(train), m.defaults, seed = 7)
+      val acc = accuracy(predict, test)
       assert(acc > 0.85, s"${m.name}: acc=$acc")
     }
   }
@@ -30,8 +31,7 @@ class ModelsSpec extends SparkSpec {
   test("every model emits binary predictions") {
     val train = MLTestData.blobs(spark, n = 100, seed = 32)
     Models.all.foreach { m =>
-      val preds = m.fit(train, m.defaults, seed = 7)(train)
-        .select("prediction").distinct().collect().map(_.getDouble(0)).toSet
+      val preds = predictions(m.fit(trainSet(train), m.defaults, seed = 7), train).toSet
       assert(preds.subsetOf(Set(0.0, 1.0)), m.name)
     }
   }
@@ -58,11 +58,28 @@ class ModelsSpec extends SparkSpec {
     val test  = MLTestData.xor(spark, n = 120, seed = 34)
     def acc(name: String): Double = {
       val m = Models.byName(name)
-      Evaluate.accuracy(m.fit(train, m.defaults, 7)(test))
+      accuracy(m.fit(trainSet(train), m.defaults, 7), test)
     }
     assert(acc("decision_tree") > 0.9)
     assert(acc("random_forest") > 0.9)
     assert(acc("xgboost") > 0.9)
     assert(acc("logistic_regression") < 0.75) // linear boundary can't do XOR
+  }
+
+  test("MLlib models predict on the driver exactly as their own transform does") {
+    val sets = Seq(
+      "xor"   -> (MLTestData.xor(spark, n = 240, seed = 35), MLTestData.xor(spark, n = 120, seed = 36)),
+      "blobs" -> (MLTestData.blobs(spark, n = 200, seed = 37), MLTestData.blobs(spark, n = 80, seed = 38)))
+    val names = Seq("logistic_regression", "decision_tree", "random_forest", "xgboost")
+    for ((setName, (train, test)) <- sets; name <- names) {
+      val m = Models.byName(name).asInstanceOf[MLlibAdapter]
+      val local = m.fit(trainSet(train), m.defaults, 7)
+      val model = m.fitModel(train, m.defaults, 7)
+      Seq(train, test).foreach { rows =>
+        val viaTransform = model.transform(rows).select("prediction").collect().map(_.getDouble(0))
+        val onDriver = predictions(local, rows)
+        assert(onDriver.nonEmpty && onDriver.sameElements(viaTransform), s"$name on $setName")
+      }
+    }
   }
 }
