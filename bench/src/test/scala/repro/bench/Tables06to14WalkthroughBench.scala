@@ -18,16 +18,17 @@ class Tables06to14WalkthroughBench extends SparkSpec {
   }
 
   test("Tables 12-14: 20 splits, t-tests, BY correction — flag is P") {
-    val splits = sys.env.get("CLEANML_WALKTHROUGH_SPLITS").map(_.toInt).getOrElse(20)
-    val (pairs, t) = Walkthrough.tables12to14(spark, splits)
+    val splits = 20
+    val (pairs, s1) = Walkthrough.tables12to14(spark, splits)
     assert(pairs.size == splits)
     // Paper Table 12: cleaning improves accuracy on (nearly) every split...
     val improved = pairs.count { case (b, d) => d > b }
     assert(improved >= (0.8 * splits).toInt, s"improved on $improved/$splits splits")
     // ...Table 13: p0 and p1 significant, p2 ~ 1...
-    assert(t.p0 < 0.05 && t.p1 < 0.05, s"p0=${t.p0} p1=${t.p1}")
-    assert(t.p2 > 0.5, s"p2=${t.p2}")
+    val (p0, p1, p2) = (s1.getAs[Double]("p0"), s1.getAs[Double]("p1"), s1.getAs[Double]("p2"))
+    assert(p0 < 0.05 && p1 < 0.05, s"p0=$p0 p1=$p1")
+    assert(p2 > 0.5, s"p2=$p2")
     // ...Table 14: still P after BY correction.
-    assert(t.flag == Flag.Positive)
+    assert(s1.getAs[String]("flag") == Flag.Positive)
   }
 }

@@ -84,10 +84,10 @@ object Experiment {
   /** Run one cell: all methods × scenarios × models × seeds at one split.
     *
     * Each cleaning method's cleaned train is the D arm. The B arm and the
-    * scenarios follow paper §3.4 (Tables 4–5): for missing values B is
-    * deletion-trained and only BD exists, both sides evaluated on the
-    * method's imputed test set; otherwise B is trained on the raw train, and
-    * CD adds the D model on the raw test set.
+    * scenarios ([[Specs.scenariosFor]]) follow paper §3.4 (Tables 4–5): for
+    * missing values B is deletion-trained and only BD exists, both sides
+    * evaluated on the method's imputed test set; otherwise B is trained on
+    * the raw train, and CD adds the D model on the raw test set.
     */
   def runCell(ds: BenchDataset, error: ErrorType, variant: String,
               full: DataFrame, split: Int, cfg: RunConfig): Seq[Measurement] = {
@@ -102,11 +102,10 @@ object Experiment {
       val cleaners = CleaningMethods.forError(error).filter(c =>
         cfg.methodFilter.forall(_.contains((c.method.detect, c.method.repair))))
 
-      val (trainB, scenarios) = error match {
-        case MissingValues =>
-          (repro.clean.MissingValues.Deletion.clean(spec, trainRaw, testRaw)._1, Seq(Scenario.BD))
-        case _ => (trainRaw, Scenario.all)
-      }
+      val scenarios = Specs.scenariosFor(error)
+      val trainB =
+        if (error == MissingValues) repro.clean.MissingValues.Deletion.clean(spec, trainRaw, testRaw)._1
+        else trainRaw
       val armB = buildArm(spec, trainB, split)
       cached += armB.train.frame
       val arms = cleaners.map { c =>

@@ -19,7 +19,10 @@ object Runner {
   final case class BenchmarkRelations(measurements: DataFrame, r1: DataFrame,
                                       r2: DataFrame, r3: DataFrame)
 
-  /** Run the measurement grid for the given error types/datasets. */
+  /** Run the measurement grid for the given error types/datasets. A failing
+    * cell fails the run with an exception that names the cell and keeps the
+    * cause.
+    */
   def measurements(spark: SparkSession, cfg: RunConfig,
                    errors: Set[ErrorType],
                    datasets: Seq[BenchDataset] = Datasets.all): DataFrame = {
@@ -34,7 +37,9 @@ object Runner {
     try {
       val futures =
         for (((ds, e, v), full) <- fulls; split <- 0 until cfg.splits)
-          yield Future(Experiment.runCell(ds, e, v, full, split, cfg))
+          yield Future(Experiment.runCell(ds, e, v, full, split, cfg)).transform(identity, t =>
+            new RuntimeException(
+              s"cell (dataset=${ds.spec.name}, error=${e.name}, variant=$v, split=$split) failed: $t", t))
       val rows = Await.result(Future.sequence(futures), Duration.Inf).flatten
       import spark.implicits._
       rows.toDF()
@@ -55,33 +60,24 @@ object Runner {
       Relations.r3(meas, cfg.alpha))
   }
 
-  /** Print the Table 15 blocks (Q1..Q5) for one error type, with the
-    * paper's numbers alongside where recovered (PaperNumbers).
+  /** Print the Table 15 blocks ([[Queries.table15]]) for one error type,
+    * with the paper's numbers alongside where recovered (PaperNumbers).
     */
   def printTable15(rel: BenchmarkRelations, error: ErrorType): Unit = {
     val e = error.name
-    val multiMethod = error == ErrorType.Outliers || error == ErrorType.MissingValues
     println(s"\n===== Table 15 blocks for error type: $e =====")
     PaperNumbers.notes.getOrElse(e, Nil).foreach(n => println(s"  [paper] $n"))
-    for ((rName, rel1) <- Seq(("R1", rel.r1), ("R2", rel.r2), ("R3", rel.r3))) {
+    for ((rName, relation) <- Seq(("R1", rel.r1), ("R2", rel.r2), ("R3", rel.r3));
+         (q, sql) <- Queries.table15(rName, error)) {
       val view = s"rel_$rName"
-      def show(q: String, sql: String,
-               paper: Seq[String] => Option[Map[String, Int]]): Unit =
-        TableFormat.printBlock(s"$q [$rName, $e]",
-          TableFormat.collect(Queries.run(rel1, sql, view)), paper)
-
-      show("Q1", Queries.q1Sql(view, e), _ => PaperNumbers.q1.get((rName, e)))
-      if (error != ErrorType.MissingValues)
-        show("Q2", Queries.q2Sql(view, e),
-          k => PaperNumbers.q2.get((rName, e, k.headOption.getOrElse(""))))
-      if (rName == "R1")
-        show("Q3", Queries.q3Sql(view, e),
-          k => PaperNumbers.q3.get((rName, e, k.headOption.getOrElse(""))))
-      if (multiMethod && rName != "R3") {
-        show("Q4.1", Queries.q41Sql(view, e), _ => None)
-        show("Q4.2", Queries.q42Sql(view, e), _ => None)
+      val paper: Seq[String] => Option[Map[String, Int]] = q match {
+        case "Q1" => _ => PaperNumbers.q1.get((rName, e))
+        case "Q2" => k => PaperNumbers.q2.get((rName, e, k.headOption.getOrElse("")))
+        case "Q3" => k => PaperNumbers.q3.get((rName, e, k.headOption.getOrElse("")))
+        case _    => _ => None
       }
-      show("Q5", Queries.q5Sql(view, e), _ => None)
+      TableFormat.printBlock(s"$q [$rName, $e]",
+        TableFormat.collect(Queries.run(relation, sql(view, e), view)), paper)
     }
   }
 }

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 
 import repro.{Oracle, SparkSpec}
+import repro.core.ErrorType._
 
 class QueriesSpec extends SparkSpec {
 
@@ -63,6 +64,42 @@ class QueriesSpec extends SparkSpec {
     Oracle.assertEquivalent(got,
       "SELECT dataset, flag, COUNT(*) AS cnt FROM r WHERE error_type = 'outliers' GROUP BY dataset, flag",
       "r" -> relation)
+  }
+
+  test("table15 plans the paper's blocks per relation and error type") {
+    val q4 = Seq("Q4.1", "Q4.2")
+    val cases = Seq(
+      // (relation, error,        blocks)
+      ("R1", MissingValues,   Seq("Q1", "Q3") ++ q4 :+ "Q5"),
+      ("R1", Outliers,        Seq("Q1", "Q2", "Q3") ++ q4 :+ "Q5"),
+      ("R1", Duplicates,      Seq("Q1", "Q2", "Q3", "Q5")),
+      ("R1", Inconsistencies, Seq("Q1", "Q2", "Q3", "Q5")),
+      ("R1", Mislabels,       Seq("Q1", "Q2", "Q3", "Q5")),
+      ("R2", MissingValues,   "Q1" +: q4 :+ "Q5"),
+      ("R2", Outliers,        Seq("Q1", "Q2") ++ q4 :+ "Q5"),
+      ("R2", Duplicates,      Seq("Q1", "Q2", "Q5")),
+      ("R2", Inconsistencies, Seq("Q1", "Q2", "Q5")),
+      ("R2", Mislabels,       Seq("Q1", "Q2", "Q5")),
+      ("R3", MissingValues,   Seq("Q1", "Q5")),
+      ("R3", Outliers,        Seq("Q1", "Q2", "Q5")),
+      ("R3", Duplicates,      Seq("Q1", "Q2", "Q5")),
+      ("R3", Inconsistencies, Seq("Q1", "Q2", "Q5")),
+      ("R3", Mislabels,       Seq("Q1", "Q2", "Q5")))
+    assert(cases.map(c => (c._1, c._2)).toSet.size == 15)
+    val builders = Map[String, (String, String) => String]("Q1" -> Queries.q1Sql, "Q2" -> Queries.q2Sql,
+      "Q3" -> Queries.q3Sql, "Q4.1" -> Queries.q41Sql, "Q4.2" -> Queries.q42Sql, "Q5" -> Queries.q5Sql)
+    cases.foreach { case (r, e, blocks) =>
+      val plan = Queries.table15(r, e)
+      assert(plan.map(_._1) == blocks, s"$r × ${e.name}")
+      plan.foreach { case (q, sql) => assert(sql("v", e.name) == builders(q)("v", e.name)) }
+    }
+    val plan = for ((r, e, _) <- cases; (q, _) <- Queries.table15(r, e)) yield (r, e, q)
+    // The 55 queries the grid benchmark issues over R1–R3 × five error types.
+    assert(plan.size == 55)
+    assert(!plan.exists { case (_, e, q) => e == MissingValues && q == "Q2" })
+    assert(plan.collect { case (r, _, "Q3") => r }.toSet == Set("R1"))
+    assert(plan.collect { case (r, e, "Q4.1" | "Q4.2") => (r, e) }.toSet ==
+      (for (r <- Set("R1", "R2"); e <- Set[ErrorType](Outliers, MissingValues)) yield (r, e)))
   }
 
   test("queries filter by error type") {

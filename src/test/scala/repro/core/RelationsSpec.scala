@@ -123,6 +123,21 @@ class RelationsSpec extends SparkSpec {
     assert(flags("NOISE") == Flag.Insignificant)
   }
 
+  test("flags: p-values do not depend on the order the pairs arrive in") {
+    // These differences sum to different doubles forwards and backwards, and
+    // the p-values differ in their last bits. One partition hands the
+    // aggregate the pairs in input order.
+    val diffs = Seq(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, -0.3)
+    val pairs = diffs.zipWithIndex.map { case (x, s) => ("D", s, 0.0, x) }
+    def adjusted(rows: Seq[(String, Int, Double, Double)]): Seq[Long] = {
+      val r = Relations.flags(rows.toDF("dataset", "split", "b", "d").coalesce(1),
+        Seq("dataset"), 0.05).head()
+      Seq("p0", "p1", "p2", "p0_adj", "p1_adj", "p2_adj")
+        .map(c => java.lang.Double.doubleToLongBits(r.getAs[Double](c)))
+    }
+    assert(adjusted(pairs) == adjusted(pairs.reverse))
+  }
+
   test("BY correction across the relation can drown a weak effect") {
     // One weakly positive spec among many null specs: raw p ~ 0.03 would be
     // P alone, but BY over 3 * 40 p-values pushes it above alpha.

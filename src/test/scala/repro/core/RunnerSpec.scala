@@ -2,7 +2,8 @@ package repro.core
 
 import repro.SparkSpec
 import repro.core.ErrorType._
-import repro.data.Datasets
+import repro.data.{BenchDataset, DataSpec, Gen}
+import repro.data.Gen.{MRow, Rng}
 
 /** Small end-to-end run of the full pipeline (one error type, two models,
   * few splits) — the full grid runs under bench/.
@@ -57,6 +58,28 @@ class RunnerSpec extends SparkSpec {
     val serial = rows(1)
     assert(serial.size == 16)
     assert(rows(4) == serial)
+  }
+
+  /** Declares duplicates but no key column, so its duplicate cleaning throws. */
+  private object Keyless extends BenchDataset {
+    val spec = DataSpec(name = "Keyless", rows = 100, numeric = Seq("x"),
+      categorical = Nil, errors = Set(Duplicates))
+    protected def genClean(rng: Rng): IndexedSeq[MRow] = (0 until spec.rows).map { i =>
+      val r = Gen.newRow()
+      val x = rng.gaussian()
+      r("x") = x
+      finish(r, i.toLong, 2 * x, rng)
+    }
+    protected def inject(rows: IndexedSeq[MRow], error: ErrorType, variant: String,
+                         rng: Rng): IndexedSeq[MRow] = rows
+  }
+
+  test("a failing cell names its dataset, error type and split, and keeps the cause") {
+    val err = intercept[RuntimeException](
+      Runner.measurements(spark, cfg.copy(splits = 1), Set(Duplicates), Seq(Keyless)))
+    Seq("dataset=Keyless", "error=duplicates", "split=0").foreach(k =>
+      assert(err.getMessage.contains(k), err.getMessage))
+    assert(err.getCause.getMessage.contains("Keyless has no key column"))
   }
 
   test("parallelism defaults to the processor count") {
