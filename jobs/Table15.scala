@@ -20,7 +20,6 @@ object Table15 {
     errors.foreach { e =>
       val rel = Runner.run(spark, cfg, Set(e))
       Runner.printTable15(rel, e)
-      rel.measurements.unpersist()
     }
     spark.stop()
   }

@@ -26,6 +26,13 @@ object Runner {
   def measurements(spark: SparkSession, cfg: RunConfig,
                    errors: Set[ErrorType],
                    datasets: Seq[BenchDataset] = Datasets.all): DataFrame = {
+    import spark.implicits._
+    grid(spark, cfg, errors, datasets).toDF()
+  }
+
+  /** The measurement rows of every cell, collected on the driver. */
+  private def grid(spark: SparkSession, cfg: RunConfig, errors: Set[ErrorType],
+                   datasets: Seq[BenchDataset]): Seq[Measurement] = {
     val cells = Specs.cells(errors, datasets)
     val fulls = cells.map { case (ds, e, v) =>
       val df = ds.dirty(spark, e, v).cache()
@@ -40,24 +47,22 @@ object Runner {
           yield Future(Experiment.runCell(ds, e, v, full, split, cfg)).transform(identity, t =>
             new RuntimeException(
               s"cell (dataset=${ds.spec.name}, error=${e.name}, variant=$v, split=$split) failed: $t", t))
-      val rows = Await.result(Future.sequence(futures), Duration.Inf).flatten
-      import spark.implicits._
-      rows.toDF()
+      Await.result(Future.sequence(futures), Duration.Inf).flatten
     } finally {
       pool.shutdown()
       fulls.foreach(_._2.unpersist(blocking = false))
     }
   }
 
-  /** Full pipeline: measurements -> flagged relations. */
+  /** Full pipeline: measurements -> flagged relations, derived on the
+    * driver from the rows the cells returned.
+    */
   def run(spark: SparkSession, cfg: RunConfig, errors: Set[ErrorType],
           datasets: Seq[BenchDataset] = Datasets.all): BenchmarkRelations = {
-    val meas = measurements(spark, cfg, errors, datasets).cache()
-    meas.count()
-    BenchmarkRelations(meas,
-      Relations.r1(meas, cfg.alpha),
-      Relations.r2(meas, cfg.alpha),
-      Relations.r3(meas, cfg.alpha))
+    val rows = grid(spark, cfg, errors, datasets)
+    val (r1, r2, r3) = Relations.all(spark, rows, cfg.alpha)
+    import spark.implicits._
+    BenchmarkRelations(rows.toDF(), r1, r2, r3)
   }
 
   /** Print the Table 15 blocks ([[Queries.table15]]) for one error type,

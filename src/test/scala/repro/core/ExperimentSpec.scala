@@ -1,9 +1,5 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicInteger
-
-import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
@@ -163,22 +159,7 @@ class ExperimentSpec extends SparkSpec {
       methodFilter = Some(Set(("SD", "impute_mean"))))
     val ds = Datasets.byName("Sensor")
     val full = ds.dirty(spark, Outliers)
-    val sc = spark.sparkContext
-    val group = "ExperimentSpec-job-count"
-    val jobs = new AtomicInteger
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group))
-          jobs.incrementAndGet()
-    }
-    sc.addSparkListener(listener)
-    sc.setJobGroup(group, "runCell job count")
-    try Experiment.runCell(ds, Outliers, "", full, 0, cfg)
-    finally {
-      sc.clearJobGroup()
-      ListenerBusDrain.drain(sc)
-      sc.removeSparkListener(listener)
-    }
-    assert(jobs.get <= MaxCellFitJobs, s"runCell issued ${jobs.get} jobs")
+    val jobs = jobsOf(Experiment.runCell(ds, Outliers, "", full, 0, cfg))
+    assert(jobs <= MaxCellFitJobs, s"runCell issued $jobs jobs")
   }
 }

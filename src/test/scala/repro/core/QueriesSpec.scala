@@ -102,6 +102,15 @@ class QueriesSpec extends SparkSpec {
       (for (r <- Set("R1", "R2"); e <- Set[ErrorType](Outliers, MissingValues)) yield (r, e)))
   }
 
+  test("a Table 15 query over an R1 frame runs as one Spark job") {
+    // The relation is one local partition, so the GROUP BY plans no shuffle.
+    val meas = (for { ds <- Seq("EEG", "Sensor"); model <- Seq("knn", "xgboost"); split <- 0 to 3 }
+      yield Measurement(ds, "outliers", "SD", "delete", "BD", model, split, 0,
+        0.5, 0.6, 0.5, 0.6 + 0.01 * split)).toDF()
+    val r1 = Relations.r1(meas)
+    assert(jobsOf(Queries.run(r1, Queries.q3Sql("r1", "outliers"), "r1").collect()) == 1)
+  }
+
   test("queries filter by error type") {
     val out = Queries.run(relation, Queries.q1Sql("r", "duplicates"), "r")
     assert(out.count() == 0)

@@ -41,38 +41,57 @@ class RelationsSpec extends SparkSpec {
     assert(Relations.r2Pairs(meas).head().getAs[Double]("d") == 0.93)
   }
 
-  test("r2Pairs matches a DuckDB window-argmax (oracle-checked)") {
-    val rng = new scala.util.Random(3)
-    val meas = (for {
+  /** R2's argmax per side as a DuckDB window query over `meas`. */
+  private val R2OracleSql =
+    """WITH bs AS (
+      |  SELECT dataset, error_type, detect, repair, scenario, split, test_b,
+      |         ROW_NUMBER() OVER (PARTITION BY dataset, error_type, detect, repair, scenario, split
+      |                            ORDER BY CAST(val_b AS DOUBLE) DESC, model ASC, CAST(seed AS INT) ASC) AS rn
+      |  FROM meas),
+      |ds AS (
+      |  SELECT dataset, error_type, detect, repair, scenario, split, test_d, val_d,
+      |         ROW_NUMBER() OVER (PARTITION BY dataset, error_type, detect, repair, scenario, split
+      |                            ORDER BY CAST(val_d AS DOUBLE) DESC, model ASC, CAST(seed AS INT) ASC) AS rn
+      |  FROM meas)
+      |SELECT bs.dataset, bs.error_type, bs.detect, bs.repair, bs.scenario,
+      |       CAST(bs.split AS INT) AS split,
+      |       CAST(bs.test_b AS DOUBLE) AS b,
+      |       CAST(ds.test_d AS DOUBLE) AS d,
+      |       CAST(ds.val_d AS DOUBLE) AS best_val
+      |FROM bs JOIN ds
+      |  ON bs.dataset = ds.dataset AND bs.error_type = ds.error_type
+      | AND bs.detect = ds.detect AND bs.repair = ds.repair
+      | AND bs.scenario = ds.scenario AND bs.split = ds.split
+      |WHERE bs.rn = 1 AND ds.rn = 1""".stripMargin
+
+  /** A grid of three models × two detectors × three splits × two seeds whose
+    * validation scores come from `validation`.
+    */
+  private def r2Grid(rng: scala.util.Random, validation: () => Double): DataFrame =
+    (for {
       model <- Seq("knn", "xgboost", "naive_bayes")
       detect <- Seq("SD", "IQR"); split <- 0 to 2; seed <- 0 to 1
     } yield m(model = model, detect = detect, split = split, seed = seed,
-        valB = rng.nextDouble(), testB = rng.nextDouble(),
-        valD = rng.nextDouble(), testD = rng.nextDouble())).toDF()
-    val got = Relations.r2Pairs(meas)
-      .select("dataset", "error_type", "detect", "repair", "scenario", "split", "b", "d", "best_val")
-    Oracle.assertEquivalent(got,
-      """WITH bs AS (
-        |  SELECT dataset, error_type, detect, repair, scenario, split, test_b,
-        |         ROW_NUMBER() OVER (PARTITION BY dataset, error_type, detect, repair, scenario, split
-        |                            ORDER BY CAST(val_b AS DOUBLE) DESC, model ASC, CAST(seed AS INT) ASC) AS rn
-        |  FROM meas),
-        |ds AS (
-        |  SELECT dataset, error_type, detect, repair, scenario, split, test_d, val_d,
-        |         ROW_NUMBER() OVER (PARTITION BY dataset, error_type, detect, repair, scenario, split
-        |                            ORDER BY CAST(val_d AS DOUBLE) DESC, model ASC, CAST(seed AS INT) ASC) AS rn
-        |  FROM meas)
-        |SELECT bs.dataset, bs.error_type, bs.detect, bs.repair, bs.scenario,
-        |       CAST(bs.split AS INT) AS split,
-        |       CAST(bs.test_b AS DOUBLE) AS b,
-        |       CAST(ds.test_d AS DOUBLE) AS d,
-        |       CAST(ds.val_d AS DOUBLE) AS best_val
-        |FROM bs JOIN ds
-        |  ON bs.dataset = ds.dataset AND bs.error_type = ds.error_type
-        | AND bs.detect = ds.detect AND bs.repair = ds.repair
-        | AND bs.scenario = ds.scenario AND bs.split = ds.split
-        |WHERE bs.rn = 1 AND ds.rn = 1""".stripMargin,
-      "meas" -> meas)
+        valB = validation(), testB = rng.nextDouble(),
+        valD = validation(), testD = rng.nextDouble())).toDF()
+
+  private def assertR2MatchesOracle(meas: DataFrame): Unit =
+    Oracle.assertEquivalent(Relations.r2Pairs(meas)
+      .select("dataset", "error_type", "detect", "repair", "scenario", "split", "b", "d", "best_val"),
+      R2OracleSql, "meas" -> meas)
+
+  test("r2Pairs matches a DuckDB window-argmax (oracle-checked)") {
+    val rng = new scala.util.Random(3)
+    assertR2MatchesOracle(r2Grid(rng, () => rng.nextDouble()))
+  }
+
+  test("r2Pairs breaks validation ties by model, then seed, as DuckDB's window does") {
+    // Three validation values over six rows per group: most groups tie.
+    val rng = new scala.util.Random(5)
+    val meas = r2Grid(rng, () => Seq(0.5, 0.7, 0.9)(rng.nextInt(3)))
+    val groupsWithTies = meas.groupBy("detect", "split", "val_d").count().filter("count > 1").count()
+    assert(groupsWithTies > 0)
+    assertR2MatchesOracle(meas)
   }
 
   test("r3Pairs selects the cleaning method with the best clean-side validation") {
@@ -83,6 +102,66 @@ class RelationsSpec extends SparkSpec {
     // Paper Table 9: SD+delete wins on validation; its pair is used.
     assert(row.getAs[Double]("b") == 0.93)
     assert(row.getAs[Double]("d") == 0.97)
+  }
+
+  test("r3Pairs breaks best-validation ties by detect, then repair") {
+    val meas = Seq(
+      m(detect = "IQR", repair = "delete", valD = 0.8, testB = 0.11, testD = 0.12),
+      m(detect = "SD", repair = "delete", valD = 0.9, testB = 0.21, testD = 0.22),
+      m(detect = "IQR", repair = "impute_median", valD = 0.9, testB = 0.31, testD = 0.32),
+      m(detect = "IQR", repair = "impute_mean", valD = 0.9, testB = 0.41, testD = 0.42)).toDF()
+    val row = Relations.r3Pairs(Relations.r2Pairs(meas)).head()
+    // IQR < SD wins the tie on detect; impute_mean < impute_median on repair.
+    assert((row.getAs[Double]("b"), row.getAs[Double]("d")) == ((0.41, 0.42)))
+  }
+
+  test("r3Pairs matches a DuckDB window-argmax over tied methods (oracle-checked)") {
+    val rng = new scala.util.Random(6)
+    val meas = (for {
+      detect <- Seq("SD", "IQR", "IF"); repair <- Seq("delete", "impute_mean")
+      scenario <- Seq("BD", "CD"); split <- 0 to 2
+    } yield m(detect = detect, repair = repair, scenario = scenario, split = split,
+        valB = rng.nextDouble(), testB = rng.nextDouble(),
+        valD = Seq(0.5, 0.9)(rng.nextInt(2)), testD = rng.nextDouble())).toDF()
+    val r2 = Relations.r2Pairs(meas)
+    Oracle.assertEquivalent(Relations.r3Pairs(r2),
+      """SELECT dataset, error_type, scenario, CAST(split AS INT) AS split,
+        |       CAST(b AS DOUBLE) AS b, CAST(d AS DOUBLE) AS d
+        |FROM (SELECT *, ROW_NUMBER() OVER (PARTITION BY dataset, error_type, scenario, split
+        |                                   ORDER BY CAST(best_val AS DOUBLE) DESC, detect ASC, repair ASC) AS rn
+        |      FROM r2)
+        |WHERE rn = 1""".stripMargin,
+      "r2" -> r2)
+  }
+
+  test("r1Pairs: the seed mean adds seeds in seed order, whatever the partitioning") {
+    // Summed in pairs, (x0 + x1) + (x2 + x3), or backwards, these four
+    // metrics give a different double than summed in seed order.
+    val xs = Seq(0.1, 0.2, 0.3, 0.6)
+    val inOrder = xs.foldLeft(0.0)(_ + _)
+    assert((xs(0) + xs(1)) + (xs(2) + xs(3)) != inOrder && xs.reverse.foldLeft(0.0)(_ + _) != inOrder)
+    val rows = xs.zipWithIndex.map { case (x, seed) => m(seed = seed, testB = x, testD = x) }
+    def means(rdd: org.apache.spark.rdd.RDD[Measurement]): Seq[Long] = {
+      val r = Relations.r1Pairs(rdd.toDF()).head()
+      Seq("b", "d").map(c => java.lang.Double.doubleToLongBits(r.getAs[Double](c)))
+    }
+    val expected = Seq.fill(2)(java.lang.Double.doubleToLongBits(inOrder / xs.size))
+    val halves = spark.sparkContext.parallelize(rows, 2)
+    assert(halves.glom().collect().map(_.map(_.seed).toSeq).toSeq == Seq(Seq(0, 1), Seq(2, 3)))
+    assert(means(halves) == expected)
+    assert(means(spark.sparkContext.parallelize(rows.reverse, 1)) == expected)
+  }
+
+  test("r1, r2 and r3 over a stored frame issue one Spark job each") {
+    val tmp = java.nio.file.Files.createTempDirectory("relations-spec").toFile
+    val dir = new java.io.File(tmp, "meas").getPath
+    (for { detect <- Seq("SD", "IQR"); model <- Seq("knn", "xgboost"); split <- 0 to 3; seed <- 0 to 1 }
+      yield m(detect = detect, model = model, split = split, seed = seed, testD = 0.5 + 0.01 * split))
+      .toDF().repartition(2).write.parquet(dir)
+    val stored = spark.read.parquet(dir)
+    try Seq[DataFrame => DataFrame](Relations.r1(_), Relations.r2(_), Relations.r3(_)).foreach { r =>
+      assert(jobsOf(r(stored)) == 1)
+    } finally org.apache.commons.io.FileUtils.deleteDirectory(tmp)
   }
 
   test("flagOf: P needs a0 and a1 below alpha, N a0 and a2; alpha itself is S") {

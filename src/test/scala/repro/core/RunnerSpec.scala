@@ -60,6 +60,13 @@ class RunnerSpec extends SparkSpec {
     assert(rows(4) == serial)
   }
 
+  test("R1-R3 add no Spark jobs to the measurement grid") {
+    val small = cfg.copy(splits = 1)
+    val grid = jobsOf(Runner.measurements(spark, small, Set(Inconsistencies)))
+    val run = jobsOf(Runner.run(spark, small, Set(Inconsistencies)))
+    assert(run <= grid, s"Runner.run issued $run jobs, its measurement grid $grid")
+  }
+
   /** Declares duplicates but no key column, so its duplicate cleaning throws. */
   private object Keyless extends BenchDataset {
     val spec = DataSpec(name = "Keyless", rows = 100, numeric = Seq("x"),
